@@ -1,9 +1,8 @@
 package core
 
-// Binary wire codecs for the query processor's message vocabulary,
-// mirroring the gob.Register calls in messages.go, tuple.go, expr.go,
-// plan.go, and agg.go. Gob remains only as the fallback reference the
-// codec tests compare against; the real transport encodes with these.
+// Binary wire codecs for the query processor's message vocabulary (the
+// types in messages.go, tuple.go, expr.go, plan.go, agg.go and
+// indexscan.go). The real transport encodes with these.
 
 import (
 	"pier/internal/core/bloom"
@@ -91,6 +90,10 @@ func init() {
 				for i := range slab {
 					r.Tuples = append(r.Tuples, &slab[i])
 				}
+			} else {
+				// A recycled shell keeps Tuples[:0]; an empty frame must
+				// still decode to the nil it was encoded from.
+				r.Tuples = nil
 			}
 			if n := d.Len(); n > 0 {
 				r.Spans = make([]trace.Span, 0, wire.SliceCap(n))

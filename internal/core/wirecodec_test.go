@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -149,8 +147,8 @@ func randPlan(r *rand.Rand) *Plan {
 
 // TestWireRoundTrip is the codec property test for every message type
 // the query processor registers: random instances survive
-// decode(encode(m)) bit-exactly, agree with the gob fallback, and obey
-// the documented size relation to WireSize().
+// decode(encode(m)) bit-exactly and obey the documented size relation
+// to WireSize().
 func TestWireRoundTrip(t *testing.T) {
 	wiretest.RoundTrip(t, 1, 200, []wiretest.Gen{
 		{Name: "queryMsg", Make: func(r *rand.Rand) env.Message {
@@ -251,6 +249,37 @@ func TestWireExtremeValues(t *testing.T) {
 	}
 }
 
+// TestResultMsgDecodeIgnoresPoolState primes resultMsgPool with a
+// recycled shell that still holds Tuples capacity, then round-trips a
+// zero-tuple frame: the decoded frame must equal what was encoded,
+// whatever shell the pool hands the decoder.
+func TestResultMsgDecodeIgnoresPoolState(t *testing.T) {
+	full, err := wire.Marshal(&resultMsg{ID: 1, Tuples: []*Tuple{{Rel: "r", Vals: []Value{int64(7)}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := &resultMsg{ID: 2, Window: 3, SpanDrops: 4}
+	b, err := wire.Marshal(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		primed, err := wire.Unmarshal(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primed.(*resultMsg).Recycle()
+		got, err := wire.Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, empty) {
+			t.Fatalf("#%d: zero-tuple frame after a recycled shell\n got %#v\nwant %#v", i, got, empty)
+		}
+		got.(*resultMsg).Recycle()
+	}
+}
+
 // TestHostileFieldValuesRejected: values a correct sender can never
 // produce but whose acceptance would panic or wedge the executor —
 // join sides outside {0, 1} (used to index plan.Tables), Bloom filters
@@ -319,10 +348,7 @@ func TestNestingBombFailsCleanly(t *testing.T) {
 }
 
 // BenchmarkWireCodec measures encode+decode of representative PIER
-// messages, binary codec vs the gob baseline. Gob pays its per-stream
-// type dictionary on every frame here, exactly as the pre-batching
-// transport did (one encoder per peer, but the dominant cost is the
-// reflection walk per message).
+// messages through the binary codec.
 func BenchmarkWireCodec(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	msgs := map[string]env.Message{
@@ -332,7 +358,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		"queryMsg":   &queryMsg{ID: 99, Initiator: "203.0.113.7:4711", Plan: randPlan(r)},
 	}
 	for name, m := range msgs {
-		b.Run(name+"/binary", func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf, err := wire.Marshal(m)
@@ -343,21 +369,6 @@ func BenchmarkWireCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(len(buf)))
-			}
-		})
-		b.Run(name+"/gob", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				envelope := struct{ M env.Message }{M: m}
-				if err := gob.NewEncoder(&buf).Encode(&envelope); err != nil {
-					b.Fatal(err)
-				}
-				var out struct{ M env.Message }
-				if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(buf.Len()))
 			}
 		})
 	}

@@ -1,14 +1,12 @@
 package realnet
 
-// Loopback throughput of the codec × batching combinations, for the
-// small soft-state messages (miniTuple-shaped renews) that dominate
-// PIER's traffic. The acceptance bar for the binary codec + batching is
-// >= 2x the frames/sec of the unbatched gob baseline:
+// Loopback throughput of the batched transport, for the small
+// soft-state messages (miniTuple-shaped renews) that dominate PIER's
+// traffic:
 //
 //	go test ./internal/realnet -bench BenchmarkRealnetThroughput -benchtime 100000x
 
 import (
-	"encoding/gob"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,7 +27,6 @@ func (m *renewMsg) WireSize() int {
 }
 
 func init() {
-	gob.Register(&renewMsg{})
 	wire.Register(202, &renewMsg{},
 		func(e *wire.Encoder, m env.Message) {
 			t := m.(*renewMsg)
@@ -42,10 +39,11 @@ func init() {
 		})
 }
 
-func benchThroughput(b *testing.B, cfg Config) {
+// BenchmarkRealnetThroughput measures frames/sec between two nodes on
+// loopback TCP, with the frames/batch the writer's coalescing achieved.
+func BenchmarkRealnetThroughput(b *testing.B) {
 	const window = 4096
-	cfg.OutboxLen = 4 * window
-	cfg.InboxLen = 4 * window
+	cfg := Config{OutboxLen: 4 * window, InboxLen: 4 * window}
 	src, err := ListenConfig("127.0.0.1:0", 1, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -101,22 +99,4 @@ func waitAtLeast(b *testing.B, got *atomic.Int64, n int64) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-}
-
-// BenchmarkRealnetThroughput compares frames/sec on loopback TCP.
-// "gob/frame-per-write" is the pre-codec transport: a fresh reflection
-// walk per message and one syscall per frame.
-func BenchmarkRealnetThroughput(b *testing.B) {
-	b.Run("gob/frame-per-write", func(b *testing.B) {
-		benchThroughput(b, Config{Codec: CodecGob, NoBatch: true})
-	})
-	b.Run("gob/batched", func(b *testing.B) {
-		benchThroughput(b, Config{Codec: CodecGob})
-	})
-	b.Run("binary/frame-per-write", func(b *testing.B) {
-		benchThroughput(b, Config{NoBatch: true})
-	})
-	b.Run("binary/batched", func(b *testing.B) {
-		benchThroughput(b, Config{})
-	})
 }

@@ -218,30 +218,3 @@ func (rn *RealNode) StorageStats() StorageStats {
 // RefreshStats runs one catalog maintenance tick from the event loop.
 // See Node.RefreshStats.
 func (rn *RealNode) RefreshStats() { rn.Do(func() { rn.Node.RefreshStats() }) }
-
-// Deprecated aliases for the pre-Session surface, kept for one release.
-
-// PublishSync publishes a tuple from the node's event loop.
-//
-// Deprecated: Publish is now event-loop-safe on RealNode; call it
-// directly.
-func (rn *RealNode) PublishSync(table, rid string, iid int64, t *Tuple, lifetime time.Duration) {
-	rn.Publish(table, rid, iid, t, lifetime)
-}
-
-// QuerySync starts a query from the node's event loop and returns its
-// id.
-//
-// Deprecated: Query is now event-loop-safe on RealNode; call it
-// directly.
-func (rn *RealNode) QuerySync(p *Plan, fn ResultFunc) (uint64, error) {
-	return rn.Query(p, fn)
-}
-
-// ExecSync runs a DDL statement from the node's event loop.
-//
-// Deprecated: Exec is now event-loop-safe on RealNode; call it
-// directly.
-func (rn *RealNode) ExecSync(src string, cat Catalog) error {
-	return rn.Exec(src, cat)
-}
